@@ -44,10 +44,15 @@ def _encode(key: Any, out: list[bytes]) -> None:
 
 def stable_hash(key: Any) -> int:
     """A 64-bit hash of ``key`` that is identical across processes and runs."""
-    parts: list[bytes] = []
-    _encode(key, parts)
-    digest = hashlib.blake2b(b"\x00".join(parts), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    if type(key) is str:  # one-part keys skip the parts list; same bytes
+        data = b"s" + key.encode("utf-8")
+    elif type(key) is int:
+        data = b"i" + str(key).encode()
+    else:
+        parts: list[bytes] = []
+        _encode(key, parts)
+        data = b"\x00".join(parts)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 def partition_for(key: Any, num_ranks: int) -> int:

@@ -389,7 +389,9 @@ class RDD:
     def reduce_by_key(
         self, f: Callable[[Any, Any], Any], num_partitions: int | None = None
     ) -> "RDD":
-        """Merge values per key with ``f`` (map-side combined)."""
+        """Merge values per key with ``f`` (map-side combined). Keys equal
+        across types (``1``, ``1.0``, ``True``) are merged per map task, as
+        a ``dict`` merges them; mixing them is otherwise unsupported."""
         return self.combine_by_key(lambda v: v, f, f, num_partitions)
 
     def group_by_key(self, num_partitions: int | None = None) -> "RDD":
@@ -882,29 +884,22 @@ class ShuffledRDD(RDD):
         self._map_job_id: int | None = None
 
     def _map_one(self, _i: int, part: list[Any]) -> list[list[tuple[Any, Any]]]:
-        """The map-task body: route (and optionally pre-combine) one parent
-        partition's pairs into one bucket per reduce partition. Also the
-        unit of lineage recovery — a lost map output is rebuilt by
-        re-running this on the recomputed parent partition."""
-        nparts = self.num_partitions
-        partitioner = self._partitioner
-        buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(nparts)]
+        """The map-task body: combine one parent partition's pairs per key
+        (if map-side combining), *then* route each key once into its reduce
+        partition's bucket, in first-appearance order. Also the unit of
+        lineage recovery: a lost map output is rebuilt by re-running this."""
+        partition = self._partitioner.partition
+        buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(self.num_partitions)]
         if self._map_side_combine:
-            combined: dict[int, dict[Any, Any]] = {}
-            order: list[list[Any]] = [[] for _ in range(nparts)]
+            combined: dict[Any, Any] = {}
             for key, value in part:
-                dest = partitioner.partition(key)
-                dest_map = combined.setdefault(dest, {})
-                if key in dest_map:
-                    dest_map[key] = self._merge_value(dest_map[key], value)
+                if key in combined:
+                    combined[key] = self._merge_value(combined[key], value)
                 else:
-                    dest_map[key] = self._create(value)
-                    order[dest].append(key)
-            for dest, dest_map in combined.items():
-                buckets[dest] = [(k, dest_map[k]) for k in order[dest]]
-        else:
-            for key, value in part:
-                buckets[partitioner.partition(key)].append((key, value))
+                    combined[key] = self._create(value)
+            part = combined.items()
+        for key, value in part:
+            buckets[partition(key)].append((key, value))
         return buckets
 
     def _materialize_shuffle(self) -> Any:
