@@ -8,9 +8,11 @@ three interchangeable backends:
 
 - :class:`SerialExecutor` — a plain loop on the calling thread.
   Zero concurrency, zero overhead; the determinism baseline.
-- :class:`ThreadExecutor` — a fresh ``ThreadPoolExecutor`` per map
-  (fresh pools keep nested maps deadlock-free). Real concurrency for
-  GIL-releasing kernels (numpy, IO); serialized for pure-Python loops.
+- :class:`ThreadExecutor` — fork-join over contiguous item blocks, one
+  per worker, with the calling thread running block 0 and fresh
+  threads for the rest (fresh threads keep nested maps deadlock-free).
+  Real concurrency for GIL-releasing kernels (numpy, IO); serialized
+  for pure-Python loops.
 - :class:`ProcessExecutor` — real CPU parallelism on a **persistent
   pool** of ``multiprocessing`` workers: processes spawn once per
   executor lifetime, jobs are dispatched warm over per-worker task
@@ -68,7 +70,6 @@ import time
 import traceback
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from repro.sanitizer.runtime import get_sanitizer
@@ -328,12 +329,23 @@ class SerialExecutor(Executor):
 
 
 class ThreadExecutor(Executor):
-    """Today's engine behaviour: a fresh thread pool per map call.
+    """Fork-join over block-partitioned threads, the caller as thread 0.
 
-    A fresh pool keeps nested maps (a task that itself maps — e.g. a
-    Spark shuffle materializing inside a job) deadlock-free, exactly
-    like ``SparkContext``'s fresh pool per job. Exceptions re-raise the
-    original exception object of the lowest failing index.
+    ``block_partition(n, min(num_workers, n))`` splits the items; each
+    worker walks its contiguous block in index order, and a failure
+    stops only the rest of its own block. The calling thread runs
+    block 0 itself (OpenMP's rule: the thread that meets the region is
+    thread 0 of the team), so a map starts ``min(num_workers, n) - 1``
+    fresh threads and a 1-item map starts none. Fresh threads per map
+    keep nested maps (a task that itself maps — e.g. a Spark shuffle
+    materializing inside a job) deadlock-free: no map ever waits on a
+    shared pool. After every worker has joined, the original exception
+    object of the lowest failing index is re-raised.
+
+    Under an active sanitizer every block, block 0 included, runs on
+    its own registered thread: ``thread_begin``/``thread_end`` rebind
+    the thread-local tid, which must not clobber the caller's, and the
+    team's fork/join happens-before edges stay explicit.
     """
 
     name = "thread"
@@ -341,65 +353,50 @@ class ThreadExecutor(Executor):
     def map(self, fn: Callable[[int, Any], Any], items: Sequence[Any]) -> list[Any]:
         if not items:
             return []
-        with get_tracer().span(
-            "executor.map", category="executor", scope="executor.thread",
-            backend=self.name, tasks=len(items), workers=self.num_workers,
-        ):
-            sanitizer = get_sanitizer()
-            if sanitizer is not None:
-                return self._map_sanitized(fn, items, sanitizer)
-            if len(items) == 1:
-                return [fn(0, items[0])]
-            with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
-                futures = [pool.submit(fn, i, item) for i, item in enumerate(items)]
-                return [f.result() for f in futures]
-
-    def _map_sanitized(
-        self, fn: Callable[[int, Any], Any], items: Sequence[Any], sanitizer: Any
-    ) -> list[Any]:
-        """The instrumented map: dedicated registered threads, block-partitioned.
-
-        Pool threads are anonymous to the race detector (and invisible to
-        the cooperative scheduler), so under an active sanitizer the map
-        runs on one dedicated thread per worker instead: each thread is
-        registered for its lifetime and walks a contiguous block of the
-        item range in index order — the same task->result mapping as the
-        pool path, with the fork/join happens-before edges made explicit.
-        """
         n = len(items)
         num_workers = min(self.num_workers, n)
-        blocks = block_partition(n, num_workers)
-        results: list[Any] = [None] * n
-        errors: list[BaseException | None] = [None] * n
-        team = sanitizer.team_begin(num_workers, kind="exec")
+        with get_tracer().span(
+            "executor.map", category="executor", scope="executor.thread",
+            backend=self.name, tasks=n, workers=self.num_workers,
+        ):
+            blocks = block_partition(n, num_workers)
+            results: list[Any] = [None] * n
+            errors: list[BaseException | None] = [None] * num_workers
+            sanitizer = get_sanitizer()
+            team = None if sanitizer is None else sanitizer.team_begin(num_workers, kind="exec")
 
-        def runner(worker: int) -> None:
-            try:
-                sanitizer.thread_begin(team, worker)
-                for i in blocks[worker]:
-                    results[i] = fn(i, items[i])
-            except BaseException as exc:  # noqa: BLE001 - reported to caller below
-                errors[blocks[worker].start] = exc
-            finally:
+            def run_block(worker: int) -> None:
                 try:
-                    sanitizer.thread_end(team, worker)
-                except BaseException as exc:  # noqa: BLE001 - deadlock found at teardown
-                    if errors[blocks[worker].start] is None:
-                        errors[blocks[worker].start] = exc
+                    if team is not None:
+                        sanitizer.thread_begin(team, worker)
+                    for i in blocks[worker]:
+                        results[i] = fn(i, items[i])
+                except BaseException as exc:  # noqa: BLE001 - reported to caller below
+                    errors[worker] = exc
+                finally:
+                    if team is not None:
+                        try:
+                            sanitizer.thread_end(team, worker)
+                        except BaseException as exc:  # noqa: BLE001 - deadlock found at teardown
+                            if errors[worker] is None:
+                                errors[worker] = exc
 
-        threads = [
-            threading.Thread(target=runner, args=(w,), name=f"exec-{w}", daemon=True)
-            for w in range(num_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        sanitizer.team_end(team)
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
+            threads = [
+                threading.Thread(target=run_block, args=(w,), name=f"exec-{w}", daemon=True)
+                for w in range(0 if team is not None else 1, num_workers)
+            ]
+            for t in threads:
+                t.start()
+            if team is None:
+                run_block(0)
+            for t in threads:
+                t.join()
+            if team is not None:
+                sanitizer.team_end(team)
+            for exc in errors:
+                if exc is not None:
+                    raise exc
+            return results
 
 
 # ----------------------------------------------------------------------

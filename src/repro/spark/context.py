@@ -2,10 +2,11 @@
 
 A :class:`SparkContext` plays driver *and* cluster: ``run_job`` executes
 one task per partition on a pluggable executor backend
-(:mod:`repro.core.executor`): ``backend="thread"`` (the default — a
-fresh pool per job, so nested jobs — shuffles materializing inside
-tasks — can never starve), ``"serial"``, or ``"process"`` (fork-based
-worker processes for real CPU parallelism; see ``docs/executors.md``).
+(:mod:`repro.core.executor`): ``backend="thread"`` (the default — the
+calling thread runs the first block of partitions and fresh threads
+run the rest, so nested jobs — shuffles materializing inside tasks —
+can never starve), ``"serial"``, or ``"process"`` (fork-based worker
+processes for real CPU parallelism; see ``docs/executors.md``).
 Results, accumulator values, and fault recovery are bit-identical
 across all three. The
 :class:`JobMetrics` counters make the engine's communication behaviour
@@ -304,8 +305,9 @@ class SparkContext:
         """Run ``task_fn(partition_index, partition_data)`` over all partitions.
 
         Results are returned in partition order. The context's
-        ``backend`` picks the executor: ``"thread"`` (default — a fresh
-        pool per job keeps nested jobs deadlock-free), ``"serial"``, or
+        ``backend`` picks the executor: ``"thread"`` (default — the
+        caller runs the first block of partitions and fresh threads run
+        the rest, which keeps nested jobs deadlock-free), ``"serial"``, or
         ``"process"`` (fork-based worker processes; see
         ``docs/executors.md``). All three produce bit-identical results
         and accumulator values.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -18,6 +20,8 @@ from repro.core.executor import (
     derive_task_seed,
     get_executor,
 )
+from repro.sanitizer import Sanitizer, use_sanitizer
+from repro.util.partition import block_partition
 
 ALL_BACKENDS = list(BACKENDS)
 
@@ -140,6 +144,110 @@ class TestErrors:
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ValueError, match="start_method"):
             ProcessExecutor(2, start_method="teleport")
+
+
+def _count_thread_starts(monkeypatch) -> list[threading.Thread]:
+    """Record every ``threading.Thread`` the calling thread starts from now on."""
+    started: list[threading.Thread] = []
+    caller = threading.current_thread()
+    real_start = threading.Thread.start
+
+    def start(self):
+        if threading.current_thread() is caller:
+            started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestThreadForkJoin:
+    """The thread backend's fork-join shape: the caller runs block 0."""
+
+    @pytest.mark.parametrize("workers,n", [(2, 2), (2, 4), (3, 7), (4, 3), (4, 9)])
+    def test_starts_one_thread_per_block_after_the_first(self, monkeypatch, workers, n):
+        started = _count_thread_starts(monkeypatch)
+        ran_on: list[threading.Thread | None] = [None] * n
+
+        def task(i, x):
+            ran_on[i] = threading.current_thread()
+            return x * x
+
+        assert ThreadExecutor(workers).map(task, list(range(n))) == [x * x for x in range(n)]
+        k = min(workers, n)
+        assert len(started) == k - 1
+        caller = threading.current_thread()
+        blocks = block_partition(n, k)
+        assert all(ran_on[i] is caller for i in blocks[0])
+        for block in blocks[1:]:
+            owners = {id(ran_on[i]) for i in block}
+            assert len(owners) == 1 and ran_on[block.start] is not caller
+            assert ran_on[block.start] in started
+
+    def test_one_item_map_starts_no_thread(self, monkeypatch):
+        started = _count_thread_starts(monkeypatch)
+        caller = threading.current_thread()
+        got = ThreadExecutor(4).map(lambda i, x: (x, threading.current_thread() is caller), [5])
+        assert got == [(5, True)]
+        assert started == []
+
+    def test_nested_maps_three_deep_finish(self):
+        ex = ThreadExecutor(2)
+
+        def level(depth, i, x):
+            if depth == 0:
+                return x
+            return sum(ex.map(lambda j, y: level(depth - 1, j, y), [x, x + 1, x + 2]))
+
+        out: list = []
+        runner = threading.Thread(
+            target=lambda: out.append(ex.map(lambda i, x: level(2, i, x), [0, 10])),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "nested thread maps deadlocked"
+        assert out == [[18, 108]]  # level(2, x) = 9x + 18
+
+    def test_no_task_runs_on_the_caller_under_a_sanitizer(self):
+        caller = threading.current_thread()
+        sanitizer = Sanitizer()
+        with use_sanitizer(sanitizer):
+            tid = sanitizer.current_thread()
+            got = ThreadExecutor(3).map(
+                lambda i, x: threading.current_thread() is caller, list(range(7))
+            )
+            assert sanitizer.current_thread() == tid
+        assert got == [False] * 7
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ThreadExecutor(8).map(square, list(range(997)))
+        finally:
+            sys.setswitchinterval(previous)
+        assert got == [x * x for x in range(997)]
+
+    def test_lowest_failing_index_wins_across_blocks(self):
+        # Block 1 fails first in time; block 0 fails later at a lower index.
+        block1_failed = threading.Event()
+        ran: set[int] = set()
+
+        def task(i, x):
+            ran.add(i)
+            if i == 4:
+                block1_failed.set()
+                raise KeyError("block-1")
+            if i == 2:
+                assert block1_failed.wait(timeout=10)
+                raise ValueError("block-0")
+            return x
+
+        with pytest.raises(ValueError, match="block-0"):
+            ThreadExecutor(2).map(task, list(range(8)))
+        # A failure stops the rest of its own block only.
+        assert ran == {0, 1, 2, 4}
 
 
 class TestWorkerCrash:

@@ -4,8 +4,8 @@
 seed sweeps; this file exercises the process-specific machinery —
 driver-side lineage preparation (shuffles materialized, persist and
 checkpoint caches filled before forking), worker-crash recovery feeding
-the fault report and metrics, and the serial fallback for jobs launched
-from inside a forked child.
+the fault report and metrics, the serial fallback for jobs launched
+from inside a forked child, and nested jobs on the thread backend.
 """
 
 from __future__ import annotations
@@ -128,6 +128,28 @@ class TestNestedAndValidation:
 
             got = sc.parallelize(range(6), 2).map(nested).collect()
             assert got == [sum(range(x + 1)) for x in range(6)]
+
+    def test_nested_shuffle_job_on_thread_backend_matches_serial(self):
+        def run(backend):
+            with SparkContext(2, backend=backend) as sc:
+                outer, inner = sc.accumulator(0), sc.accumulator(0)
+
+                def nested(x):
+                    # The task forces a nested shuffle job; on the thread
+                    # backend the first block of it runs on this task's thread.
+                    outer.add(x)
+                    pairs = (
+                        sc.parallelize(range(x + 5), 3)
+                        .map(lambda y: (inner.add(1), (y % 3, y))[1])
+                        .reduce_by_key(lambda a, b: a + b)
+                        .collect()
+                    )
+                    return sorted(pairs)
+
+                got = sc.parallelize(range(6), 3).map(nested).collect()
+                return got, outer.value, inner.value, sc.metrics.shuffles
+
+        assert run("thread") == run("serial")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
